@@ -18,6 +18,7 @@ MemController::MemController(EventQueue &event_queue,
                 "ranks with differing bank counts not supported");
     NVCK_ASSERT(cfg.writeDrainLow < cfg.writeDrainHigh,
                 "drain watermarks inverted");
+    wakeTicks.reserve(16);
 }
 
 const TimingParams &
@@ -119,7 +120,25 @@ MemController::requestScheduling(Tick when)
         return;
     wakeScheduled = true;
     wakeAt = when;
-    eq.schedule(when, [this] { scheduleLoop(); });
+    // One event per distinct tick: a wake already queued for this tick
+    // runs the loop there, so a second one would only start a
+    // duplicate chain of wakes.
+    if (std::find(wakeTicks.begin(), wakeTicks.end(), when) !=
+        wakeTicks.end())
+        return;
+    wakeTicks.push_back(when);
+    eq.schedule(when, [this] { wake(); });
+}
+
+void
+MemController::wake()
+{
+    const auto it =
+        std::find(wakeTicks.begin(), wakeTicks.end(), eq.now());
+    NVCK_ASSERT(it != wakeTicks.end(), "wake at an unrecorded tick");
+    *it = wakeTicks.back();
+    wakeTicks.pop_back();
+    scheduleLoop();
 }
 
 int

@@ -124,6 +124,20 @@ struct MemControllerStats
  * The controller. Ranks: 0 = DRAM, 1 = PM; a request's isPm flag picks
  * the rank. Queues are admission-controlled via canAccept()/enqueue();
  * completion is signalled through each request's callback.
+ *
+ * Wake rule: the scheduler loop runs from wake events, and at most one
+ * wake event is queued per distinct tick. A request for a tick that
+ * already has a wake queued is absorbed by it. A wake that a later
+ * request superseded with an earlier tick is not cancelled: it still
+ * fires once and runs the loop at its tick. So the loop runs at every
+ * tick it was ever asked for, and only once per tick.
+ *
+ * Known model gap: while reads are pending, the writeMaxAge flush is
+ * not armed as a wake deadline of its own. The age bound is only
+ * checked when some other wake runs the loop, so a write can overstay
+ * writeMaxAge until then. Arming the deadline changes simulated
+ * results (the PCM ocean proposal IPC moves by about 0.05%), so it is
+ * left to a separate model change.
  */
 class MemController
 {
@@ -217,7 +231,10 @@ class MemController
 
     const TimingParams &timing(bool is_pm) const;
     void decode(const MemRequest &req, Queued &out) const;
+    /** Ask for a scheduler pass at @p when (see the wake rule above). */
     void requestScheduling(Tick when);
+    /** A wake event: retire its tick, then run the scheduler loop. */
+    void wake();
     void scheduleLoop();
     /** Pick the next queue entry per FR-FCFS; -1 if none. */
     int pickFrom(const std::deque<Queued> &queue, Tick &earliest) const;
@@ -235,6 +252,8 @@ class MemController
     bool flushing = false;
     bool wakeScheduled = false;
     Tick wakeAt = 0;
+    /** Ticks with a wake event in flight, one entry per tick. */
+    std::vector<Tick> wakeTicks;
     EurModel eur;
     CrashHooks crashHooks;
     MemControllerStats statistics;

@@ -137,8 +137,9 @@ TEST_P(EventQueueKernels, OverflowPromotionPreservesSeqOrder)
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11}));
-    if (GetParam() == EventKernel::Calendar)
+    if (GetParam() == EventKernel::Calendar) {
         EXPECT_GE(eq.stats().overflowPromotions.value(), 2u);
+    }
 }
 
 TEST_P(EventQueueKernels, RecurringRearmRunsAndReuses)

@@ -115,6 +115,15 @@ const TornShape kShapes[] = {
     {"torn-drain", false, true},
 };
 
+// Print the shape by name: gtest's default dumps the struct's bytes,
+// name pointer included, which ASLR changes on every run and which
+// would make the listed (and ctest-discovered) test names unstable.
+void
+PrintTo(const TornShape &shape, std::ostream *os)
+{
+    *os << shape.name;
+}
+
 class TwoPhaseDifferential
     : public ::testing::TestWithParam<TornShape>
 {

@@ -295,5 +295,38 @@ TEST(MemController, WriteDrainEventuallyServicesWrites)
     EXPECT_TRUE(f.ctrl.idle());
 }
 
+TEST(MemController, OneWakePendingPerTick)
+{
+    // PCM reads to one bank arrive one per ns while that bank serves
+    // the first. Each arrival wakes the scheduler at once; that wake
+    // finds the bank busy and asks again for the bank's ready tick.
+    // All those requests name the same tick, so exactly one wake may
+    // be queued for it: the first read's completion plus that wake.
+    MemControllerConfig cfg = hybridConfig();
+    cfg.pm = pcmTiming();
+    Fixture f(cfg);
+    const Addr same_bank_stride = Addr{cfg.pm.banks} *
+                                  (cfg.vlewDataBytes / chipBeatBytes) *
+                                  blockBytes;
+    const unsigned burst = 32;
+    unsigned completed = 0;
+    for (unsigned i = 0; i < burst; ++i) {
+        MemRequest req;
+        req.addr = i * same_bank_stride;
+        req.op = MemOp::Read;
+        req.isPm = true;
+        req.onComplete = [&completed](Tick) { ++completed; };
+        ASSERT_TRUE(f.ctrl.enqueue(std::move(req)));
+        f.eq.runUntil(f.eq.now()); // this tick's wake
+        EXPECT_EQ(f.eq.pending(), i == 0 ? 1u : 2u) << "arrival " << i;
+        f.eq.runUntil(f.eq.now() + nsToTicks(1));
+    }
+    ASSERT_EQ(completed, 0u); // still inside the first read
+    f.eq.run();
+    EXPECT_EQ(completed, burst);
+    EXPECT_EQ(f.ctrl.stats().pmReads.value(), burst);
+    EXPECT_TRUE(f.ctrl.idle());
+}
+
 } // namespace
 } // namespace nvck

@@ -119,6 +119,35 @@ TEST(System, WriteScaleSlowsWriteHeavyWorkload)
     EXPECT_LT(slow_m.ipc, fast_m.ipc);
 }
 
+TEST(System, PcmSchedulerEventsScaleWithRequests)
+{
+    // The scheduler-bound point of the Section VI sweep (PCM hashmap,
+    // proposal scheme) at benchRunControl(1.0) windows: 30us warmup,
+    // then 100us measured. Every memory request should cost a few
+    // events (arrival wake, bank-ready wake, completion), not one more
+    // self-renewing chain of wakes per arrival (~1000 events each).
+    SystemConfig cfg = SystemConfig::make(
+        PmTech::Pcm, proposalScheme(runtimeRberFor(PmTech::Pcm)),
+        "hashmap", 1);
+    System sys(cfg);
+    sys.start();
+    sys.runUntil(nsToTicks(30000));
+    sys.resetStats();
+    const std::uint64_t ev0 = sys.events().stats().executed.value();
+    sys.runUntil(nsToTicks(130000));
+    const std::uint64_t events =
+        sys.events().stats().executed.value() - ev0;
+
+    const auto &ms = sys.memory().stats();
+    const std::uint64_t requests =
+        ms.pmReads.value() + ms.pmWrites.value() + ms.dramReads.value() +
+        ms.dramWrites.value() + ms.overheadReads.value() +
+        ms.overheadWrites.value();
+    ASSERT_GT(requests, 1000u);
+    EXPECT_LE(events, 10 * requests)
+        << events << " events for " << requests << " requests";
+}
+
 TEST(Experiment, ProposalTwoPassReportsC)
 {
     RunControl rc = quickRun();
