@@ -1,14 +1,13 @@
 /**
  * @file
- * Throughput microbenchmark of the software codec substrate across
- * both codec kernels (Scalar reference vs the default Sliced
- * table-driven kernels). For each of the paper's three code points —
- * the 22-EC VLEW BCH(2048+264), the baseline per-block 14-EC
- * BCH(512+140), and the per-block RS(72,64) — it measures encode,
- * clean-word decode (syndrome check), and corrupt-word decode (full
- * BM + Chien) in MB/s of protected data, prints a comparison table
- * with per-op speedups, and emits a machine-readable JSON file for
- * trend tracking in CI.
+ * Throughput microbenchmark of the table-driven software codecs. For
+ * each of the paper's three code points — the 22-EC VLEW
+ * BCH(2048+264), the baseline per-block 14-EC BCH(512+140), and the
+ * per-block RS(72,64) — it measures encode, clean-word decode
+ * (syndrome check), and corrupt-word decode (full BM + Chien) in MB/s
+ * of protected data, prints a table, and emits a machine-readable JSON
+ * file for trend tracking in CI. JSON rows carry the "sliced" kernel
+ * label their checked-in baselines are keyed by.
  *
  * Usage: bench_codec_throughput [--quick] [--json PATH]
  *   --quick    shorter timing windows (CI smoke).
@@ -25,7 +24,6 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "ecc/bch.hh"
-#include "ecc/kernel.hh"
 #include "ecc/rs.hh"
 
 namespace {
@@ -42,11 +40,10 @@ struct OpResult
     std::uint64_t iters = 0;
 };
 
-/** One timing record: code point x kernel x operation. */
+/** One timing record: code point x operation. */
 struct Record
 {
     std::string code;
-    std::string kernel;
     std::string op;
     OpResult res;
 };
@@ -78,9 +75,9 @@ measure(double min_seconds, double bytes_per_op, F &&op)
 /** Encode / decode-clean / decode-corrupt for one BCH instance. */
 void
 benchBch(std::vector<Record> &records, const std::string &name,
-         unsigned k, unsigned t, CodecKernel kernel, double min_seconds)
+         unsigned k, unsigned t, double min_seconds)
 {
-    const BchCodec codec(k, t, 0, kernel);
+    const BchCodec codec(k, t);
     const double data_bytes = k / 8.0;
     Rng rng(0xB37 + k + t);
     BitVec data(k);
@@ -93,21 +90,20 @@ benchBch(std::vector<Record> &records, const std::string &name,
     for (auto &w : pool)
         w.injectExactErrors(rng, t);
 
-    const char *kname = codecKernelName(kernel);
     records.push_back(
-        {name, kname, "encode",
+        {name, "encode",
          measure(min_seconds, data_bytes, [&] {
              g_sink = g_sink + codec.encodeDelta(data).popcount();
          })});
     records.push_back(
-        {name, kname, "decode_clean",
+        {name, "decode_clean",
          measure(min_seconds, data_bytes, [&] {
              BitVec w = clean;
              g_sink = g_sink + codec.decode(w).corrections;
          })});
     std::size_t next = 0;
     records.push_back(
-        {name, kname, "decode_corrupt",
+        {name, "decode_corrupt",
          measure(min_seconds, data_bytes, [&] {
              BitVec w = pool[next++ % pool.size()];
              g_sink = g_sink + codec.decode(w).corrections;
@@ -117,9 +113,9 @@ benchBch(std::vector<Record> &records, const std::string &name,
 /** Same three operations for the RS code point. */
 void
 benchRs(std::vector<Record> &records, const std::string &name,
-        unsigned k, unsigned r, CodecKernel kernel, double min_seconds)
+        unsigned k, unsigned r, double min_seconds)
 {
-    const RsCodec codec(k, r, 8, kernel);
+    const RsCodec codec(k, r, 8);
     const double data_bytes = k;
     Rng rng(0x25 + k + r);
     std::vector<GfElem> data(k);
@@ -133,32 +129,21 @@ benchRs(std::vector<Record> &records, const std::string &name,
             w[rng.below(w.size())] ^=
                 static_cast<GfElem>(rng.below(255) + 1);
 
-    const char *kname = codecKernelName(kernel);
-    records.push_back({name, kname, "encode",
+    records.push_back({name, "encode",
                        measure(min_seconds, data_bytes, [&] {
                            g_sink = g_sink + codec.encode(data).back();
                        })});
-    records.push_back({name, kname, "decode_clean",
+    records.push_back({name, "decode_clean",
                        measure(min_seconds, data_bytes, [&] {
                            auto w = clean;
                            g_sink = g_sink + codec.decode(w).corrections;
                        })});
     std::size_t next = 0;
-    records.push_back({name, kname, "decode_corrupt",
+    records.push_back({name, "decode_corrupt",
                        measure(min_seconds, data_bytes, [&] {
                            auto w = pool[next++ % pool.size()];
                            g_sink = g_sink + codec.decode(w).corrections;
                        })});
-}
-
-const Record *
-find(const std::vector<Record> &records, const std::string &code,
-     const std::string &kernel, const std::string &op)
-{
-    for (const auto &r : records)
-        if (r.code == code && r.kernel == kernel && r.op == op)
-            return &r;
-    return nullptr;
 }
 
 void
@@ -172,32 +157,14 @@ writeJson(const std::vector<Record> &records, const std::string &path)
     os << "{\n  \"benchmark\": \"codec_throughput\",\n  \"results\": [\n";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const auto &r = records[i];
-        os << "    {\"code\": \"" << r.code << "\", \"kernel\": \""
-           << r.kernel << "\", \"op\": \"" << r.op
+        os << "    {\"code\": \"" << r.code
+           << "\", \"kernel\": \"sliced\", \"op\": \"" << r.op
            << "\", \"mbps\": " << r.res.mbps
            << ", \"iters\": " << r.res.iters
            << ", \"seconds\": " << r.res.seconds << "}"
            << (i + 1 < records.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"speedup\": {\n";
-    const std::string codes[] = {"bch_vlew_2048_22", "bch_base_512_14",
-                                 "rs_72_64"};
-    const std::string ops[] = {"encode", "decode_clean",
-                               "decode_corrupt"};
-    for (std::size_t c = 0; c < 3; ++c) {
-        os << "    \"" << codes[c] << "\": {";
-        for (std::size_t o = 0; o < 3; ++o) {
-            const Record *s = find(records, codes[c], "scalar", ops[o]);
-            const Record *f = find(records, codes[c], "sliced", ops[o]);
-            const double speedup =
-                (s && f && s->res.mbps > 0) ? f->res.mbps / s->res.mbps
-                                            : 0.0;
-            os << "\"" << ops[o] << "\": " << speedup
-               << (o + 1 < 3 ? ", " : "");
-        }
-        os << "}" << (c + 1 < 3 ? "," : "") << "\n";
-    }
-    os << "  }\n}\n";
+    os << "  ]\n}\n";
     std::cout << "wrote " << path << "\n";
 }
 
@@ -222,49 +189,14 @@ main(int argc, char **argv)
     }
 
     std::vector<Record> records;
-    for (const CodecKernel kernel :
-         {CodecKernel::Scalar, CodecKernel::Sliced}) {
-        benchBch(records, "bch_vlew_2048_22", 2048, 22, kernel,
-                 min_seconds);
-        benchBch(records, "bch_base_512_14", 512, 14, kernel,
-                 min_seconds);
-        benchRs(records, "rs_72_64", 64, 8, kernel, min_seconds);
-    }
+    benchBch(records, "bch_vlew_2048_22", 2048, 22, min_seconds);
+    benchBch(records, "bch_base_512_14", 512, 14, min_seconds);
+    benchRs(records, "rs_72_64", 64, 8, min_seconds);
 
-    Table table({"code", "op", "scalar MB/s", "sliced MB/s", "speedup"});
-    for (const std::string &code :
-         {std::string("bch_vlew_2048_22"), std::string("bch_base_512_14"),
-          std::string("rs_72_64")}) {
-        for (const std::string &op :
-             {std::string("encode"), std::string("decode_clean"),
-              std::string("decode_corrupt")}) {
-            const Record *s = find(records, code, "scalar", op);
-            const Record *f = find(records, code, "sliced", op);
-            table.row()
-                .cell(code)
-                .cell(op)
-                .cell(s->res.mbps)
-                .cell(f->res.mbps)
-                .cell(f->res.mbps / s->res.mbps);
-        }
-    }
+    Table table({"code", "op", "MB/s"});
+    for (const auto &r : records)
+        table.row().cell(r.code).cell(r.op).cell(r.res.mbps);
     table.print(std::cout);
-
-    const double enc = find(records, "bch_vlew_2048_22", "sliced",
-                            "encode")
-                           ->res.mbps /
-                       find(records, "bch_vlew_2048_22", "scalar",
-                            "encode")
-                           ->res.mbps;
-    const double dec = find(records, "bch_vlew_2048_22", "sliced",
-                            "decode_clean")
-                           ->res.mbps /
-                       find(records, "bch_vlew_2048_22", "scalar",
-                            "decode_clean")
-                           ->res.mbps;
-    std::cout << "VLEW BCH(2048,t=22) sliced speedup: encode "
-              << Table::formatNumber(enc, 3) << "x, clean decode "
-              << Table::formatNumber(dec, 3) << "x\n";
 
     writeJson(records, json_path);
     return 0;

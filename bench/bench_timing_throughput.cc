@@ -1,9 +1,7 @@
 /**
  * @file
  * Throughput benchmark for the discrete-event timing kernel
- * (common/event.hh): the pooled two-tier calendar queue against the
- * legacy heap kernel (`NVCK_EVENT_QUEUE=heap`), run side by side in
- * one process via the SystemConfig::kernel override.
+ * (common/event.hh), the pooled two-tier calendar queue.
  *
  * Three scenarios:
  *   - churn_ring:  self-rescheduling event sources whose delays all
@@ -15,11 +13,12 @@
  *     WHISPER workload) end to end, reporting both events/sec and
  *     simulated-ticks/sec.
  *
- * Every scenario is identity-cross-checked before it is timed: the
- * churn scripts must drain in the same order under both kernels (an
- * order hash over (tick, source) pairs) and the fig16 runs must agree
- * on every RunMetrics field; any divergence fails the run. "mbps" in
- * the JSON is Mevents/s so scripts/check_bench.py gates it unchanged.
+ * Drain order is pinned elsewhere: tests/common/test_event_queue.cc
+ * drains random scripts against a (when, seq) heap reference, and
+ * tests/golden/perf_points_full.txt pins every RunMetrics field of the
+ * Section VI points. "mbps" in the JSON is Mevents/s so
+ * scripts/check_bench.py gates it unchanged; rows keep the
+ * "calendar" path label their baselines are keyed by.
  *
  * Usage: bench_timing_throughput [--points N] [--seed S] [--quick]
  *                                [--json PATH]
@@ -63,7 +62,7 @@ struct OpResult
     std::uint64_t poolHighWater = 0;
 };
 
-/** One timing record: scenario x kernel. */
+/** One timing record per scenario. */
 struct Record
 {
     std::string scenario;
@@ -77,8 +76,8 @@ struct Record
  * calendar window except every ~@p longEvery-th draw, which jumps past
  * ringSpan into the overflow tier (0 disables long jumps). The handler
  * captures {state pointer, source id} — 16 bytes, well inside
- * InlineAction's budget and std::function's SSO, so neither kernel
- * allocates per event and the comparison is pure queue mechanics.
+ * InlineAction's budget, so no event allocates and the measurement is
+ * pure queue mechanics.
  */
 struct ChurnScript
 {
@@ -86,22 +85,15 @@ struct ChurnScript
     Rng rng;
     Tick horizon;
     unsigned longEvery;
-    bool trace;
-    std::uint64_t orderHash = 0xcbf29ce484222325ull; //!< FNV-1a basis
 
     ChurnScript(EventQueue &queue, std::uint64_t seed, Tick limit,
-                unsigned long_every, bool want_trace)
-        : eq(queue), rng(seed), horizon(limit), longEvery(long_every),
-          trace(want_trace)
+                unsigned long_every)
+        : eq(queue), rng(seed), horizon(limit), longEvery(long_every)
     {}
 
     void
     fire(unsigned id)
     {
-        if (trace) {
-            orderHash ^= eq.now() * 0x9e3779b97f4a7c15ull + id;
-            orderHash *= 0x100000001b3ull;
-        }
         Tick delta = 1 + rng.below(64);
         if (longEvery && rng.below(longEvery) == 0)
             delta = EventQueue::ringSpan + rng.below(1024);
@@ -111,14 +103,13 @@ struct ChurnScript
     }
 };
 
-/** One full churn drain; returns the queue's counters + order hash. */
+/** One full churn drain; returns the queue's counters. */
 OpResult
-runChurn(EventKernel kernel, std::uint64_t seed, Tick horizon,
-         unsigned long_every, bool trace, std::uint64_t *hash_out)
+runChurn(std::uint64_t seed, Tick horizon, unsigned long_every)
 {
     constexpr unsigned sources = 1024;
-    EventQueue eq(kernel);
-    ChurnScript script(eq, seed, horizon, long_every, trace);
+    EventQueue eq;
+    ChurnScript script(eq, seed, horizon, long_every);
     for (unsigned id = 0; id < sources; ++id)
         eq.schedule(1 + id % 64, [&script, id] { script.fire(id); });
     eq.run();
@@ -127,8 +118,6 @@ runChurn(EventKernel kernel, std::uint64_t seed, Tick horizon,
     out.promotions = eq.stats().overflowPromotions.value();
     out.peakPending = eq.stats().peakPending;
     out.poolHighWater = eq.stats().poolHighWater;
-    if (hash_out)
-        *hash_out = script.orderHash;
     g_sink = g_sink + eq.now();
     return out;
 }
@@ -164,64 +153,20 @@ benchChurn(std::vector<Record> &records, const std::string &scenario,
            std::uint64_t seed, Tick horizon, unsigned long_every,
            double min_seconds)
 {
-    // Identity gate: both kernels must drain the same script in the
-    // same order before either is timed.
-    std::uint64_t calendar_hash = 0, heap_hash = 0;
-    const OpResult a = runChurn(EventKernel::Calendar, seed, horizon,
-                                long_every, true, &calendar_hash);
-    const OpResult b = runChurn(EventKernel::Heap, seed, horizon,
-                                long_every, true, &heap_hash);
-    if (calendar_hash != heap_hash || a.events != b.events) {
-        std::cerr << "FATAL: calendar/heap drain divergence in "
-                  << scenario << "\n";
-        std::exit(1);
-    }
-
-    for (const EventKernel kernel :
-         {EventKernel::Heap, EventKernel::Calendar}) {
-        records.push_back({scenario, eventKernelName(kernel),
-                           measure(min_seconds, 0.0, [&] {
-                               return runChurn(kernel, seed, horizon,
-                                               long_every, false,
-                                               nullptr);
-                           })});
-    }
+    records.push_back({scenario, "calendar",
+                       measure(min_seconds, 0.0, [&] {
+                           return runChurn(seed, horizon, long_every);
+                       })});
 }
 
-/** Exact-equality check over every RunMetrics field (exit 1). */
-void
-checkSameMetrics(const RunMetrics &a, const RunMetrics &b)
-{
-    const bool same =
-        a.ipc == b.ipc && a.mflops == b.mflops && a.perf == b.perf &&
-        a.cFactor == b.cFactor && a.omvHitRate == b.omvHitRate &&
-        a.dirtyPmFraction == b.dirtyPmFraction &&
-        a.omvFraction == b.omvFraction && a.pmReads == b.pmReads &&
-        a.pmWrites == b.pmWrites && a.dramReads == b.dramReads &&
-        a.dramWrites == b.dramWrites &&
-        a.overheadReads == b.overheadReads &&
-        a.overheadWrites == b.overheadWrites &&
-        a.vlewFetches == b.vlewFetches &&
-        a.oldDataFetches == b.oldDataFetches &&
-        a.avgReadLatencyNs == b.avgReadLatencyNs &&
-        a.avgWriteLatencyNs == b.avgWriteLatencyNs &&
-        a.rowHitRate == b.rowHitRate;
-    if (!same) {
-        std::cerr << "FATAL: calendar/heap RunMetrics divergence in "
-                  << "fig16_reram\n";
-        std::exit(1);
-    }
-}
-
-/** One fig16-shaped proposal run under the given kernel. */
+/** One fig16-shaped proposal run. */
 OpResult
-runFig16(EventKernel kernel, const std::string &workload,
-         std::uint64_t seed, const RunControl &rc, RunMetrics *metrics)
+runFig16(const std::string &workload, std::uint64_t seed,
+         const RunControl &rc)
 {
-    SystemConfig cfg = SystemConfig::make(
+    const SystemConfig cfg = SystemConfig::make(
         PmTech::Reram, proposalScheme(runtimeRberFor(PmTech::Reram)),
         workload, seed);
-    cfg.kernel = kernel;
     const EventKernelTotals before = eventKernelTotals();
     const RunMetrics m = runOnce(cfg, rc);
     const EventKernelTotals after = eventKernelTotals();
@@ -230,8 +175,6 @@ runFig16(EventKernel kernel, const std::string &workload,
     out.promotions = after.overflowPromotions - before.overflowPromotions;
     out.peakPending = after.maxPeakPending;
     out.poolHighWater = after.maxPoolHighWater;
-    if (metrics)
-        *metrics = m;
     g_sink = g_sink + m.pmReads;
     return out;
 }
@@ -244,36 +187,14 @@ benchFig16(std::vector<Record> &records, std::uint64_t seed,
     const double ticks_per_op =
         static_cast<double>(rc.warmup + rc.measure);
     const std::string workload = "ycsb"; // WHISPER, fig16's left half
-
-    RunMetrics calendar_m, heap_m;
-    runFig16(EventKernel::Calendar, workload, seed, rc, &calendar_m);
-    runFig16(EventKernel::Heap, workload, seed, rc, &heap_m);
-    checkSameMetrics(calendar_m, heap_m);
-
-    for (const EventKernel kernel :
-         {EventKernel::Heap, EventKernel::Calendar}) {
-        records.push_back({"fig16_reram", eventKernelName(kernel),
-                           measure(min_seconds, ticks_per_op, [&] {
-                               return runFig16(kernel, workload, seed,
-                                               rc, nullptr);
-                           })});
-    }
-}
-
-const Record *
-find(const std::vector<Record> &records, const std::string &scenario,
-     const std::string &path)
-{
-    for (const auto &r : records)
-        if (r.scenario == scenario && r.path == path)
-            return &r;
-    return nullptr;
+    records.push_back({"fig16_reram", "calendar",
+                       measure(min_seconds, ticks_per_op, [&] {
+                           return runFig16(workload, seed, rc);
+                       })});
 }
 
 void
-writeJson(const std::vector<Record> &records,
-          const std::vector<std::string> &scenarios,
-          const std::string &path)
+writeJson(const std::vector<Record> &records, const std::string &path)
 {
     std::ofstream os(path);
     if (!os) {
@@ -295,17 +216,7 @@ writeJson(const std::vector<Record> &records,
            << ", \"seconds\": " << r.res.seconds << "}"
            << (i + 1 < records.size() ? "," : "") << "\n";
     }
-    os << "  ],\n  \"speedup\": {\n";
-    for (std::size_t s = 0; s < scenarios.size(); ++s) {
-        const Record *heap = find(records, scenarios[s], "heap");
-        const Record *cal = find(records, scenarios[s], "calendar");
-        const double speedup = (heap && cal && heap->res.mevents > 0)
-                                   ? cal->res.mevents / heap->res.mevents
-                                   : 0.0;
-        os << "    \"" << scenarios[s] << "\": " << speedup
-           << (s + 1 < scenarios.size() ? "," : "") << "\n";
-    }
-    os << "  }\n}\n";
+    os << "  ]\n}\n";
     std::cout << "wrote " << path << "\n";
 }
 
@@ -338,15 +249,12 @@ main(int argc, char **argv)
         }
     }
 
-    banner("Event kernel",
-           "timing-kernel throughput, calendar vs heap");
+    banner("Event kernel", "calendar-queue timing-kernel throughput");
 
     std::vector<Record> records;
-    std::vector<std::string> scenarios;
     if (points >= 1) {
         benchChurn(records, "churn_ring", seed,
                    quick ? 20000 : 100000, 0, min_seconds);
-        scenarios.push_back("churn_ring");
     }
     if (points >= 2) {
         // The horizon must span several ring windows or the long jumps
@@ -354,40 +262,20 @@ main(int argc, char **argv)
         benchChurn(records, "churn_mixed", seed ^ 0x16,
                    (quick ? 2 : 6) * EventQueue::ringSpan, 64,
                    min_seconds);
-        scenarios.push_back("churn_mixed");
     }
-    if (points >= 3) {
+    if (points >= 3)
         benchFig16(records, seed, min_seconds, quick ? 0.05 : 0.25);
-        scenarios.push_back("fig16_reram");
-    }
 
-    Table table({"scenario", "heap Mev/s", "calendar Mev/s", "speedup",
-                 "events/op"});
-    double churn_speedup = 0.0;
-    for (const auto &scenario : scenarios) {
-        const Record *heap = find(records, scenario, "heap");
-        const Record *cal = find(records, scenario, "calendar");
-        const double speedup = cal->res.mevents / heap->res.mevents;
-        if (scenario.rfind("churn_", 0) == 0 && speedup > churn_speedup)
-            churn_speedup = speedup;
+    Table table({"scenario", "Mev/s", "Mticks/s", "events/op"});
+    for (const auto &r : records) {
         table.row()
-            .cell(scenario)
-            .cell(heap->res.mevents)
-            .cell(cal->res.mevents)
-            .cell(speedup)
-            .cell(static_cast<double>(cal->res.events), 0);
+            .cell(r.scenario)
+            .cell(r.res.mevents)
+            .cell(r.res.mticks)
+            .cell(static_cast<double>(r.res.events), 0);
     }
     table.print(std::cout);
-    std::cout << "best event-kernel speedup (churn): "
-              << Table::formatNumber(churn_speedup, 3) << "x\n";
-    if (const Record *cal = find(records, "fig16_reram", "calendar")) {
-        const Record *heap = find(records, "fig16_reram", "heap");
-        std::cout << "fig16 end-to-end: "
-                  << Table::formatNumber(heap->res.mticks, 3) << " -> "
-                  << Table::formatNumber(cal->res.mticks, 3)
-                  << " Mticks/s simulated\n";
-    }
 
-    writeJson(records, scenarios, json_path);
+    writeJson(records, json_path);
     return 0;
 }

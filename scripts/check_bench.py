@@ -5,13 +5,14 @@ Compares a freshly produced BENCH_*.json against its checked-in
 baseline (bench/baselines/) and fails when any shared result entry is
 more than --max-regress times slower than the baseline. The bound is
 deliberately loose: CI runners are noisy, so this catches
-order-of-magnitude regressions (a kernel silently falling back to the
-scalar path, an accidentally quadratic loop), not jitter.
+order-of-magnitude regressions (a lookup table that stopped being
+built, an accidentally quadratic loop), not jitter.
 
 Result entries are keyed by their string-valued fields (code/kernel/op
-for codec_throughput, scenario/path for scrub_throughput), so adding
-or removing scenarios never breaks the gate: only keys present in BOTH
-files are compared, and the counts are reported.
+for codec_throughput, scenario/path for scrub_throughput and
+timing_throughput), so adding or removing scenarios never breaks the
+gate: only keys present in BOTH files are compared, and the counts are
+reported.
 
 Usage:
   check_bench.py --baseline bench/baselines/BENCH_x.json \

@@ -34,8 +34,6 @@
 #include <functional>
 #include <vector>
 
-#include "ecc/kernel.hh"
-
 namespace nvck {
 
 class DegradedRank;
@@ -81,8 +79,6 @@ class ScrubEngine
         unsigned batchWords = 64;
         /** Worker pool; null means ThreadPool::global(). */
         ThreadPool *pool = nullptr;
-        /** Corrupt-word decode path (NVCK_SCRUB_DECODE overrides). */
-        ScrubDecodePath decodePath = defaultScrubDecodePath();
     };
 
     ScrubEngine() = default;

@@ -5,22 +5,16 @@
  * work against one shared EventQueue; ties break in FIFO order so runs
  * are fully deterministic.
  *
- * Two interchangeable kernels produce the exact same execution order:
- *
- *  - Calendar (default): a two-tier calendar queue. The near-future
- *    tier is a power-of-two ring of per-tick FIFO buckets covering
- *    ringSpan ticks ahead of now() — every short-delay event (tCAS,
- *    tBurst, retry backoffs, the cores' step quantum) schedules and
- *    pops in O(1) with no comparator churn. Events beyond the window
- *    wait in a sorted overflow tier (a small binary heap) and are
- *    promoted into buckets whenever now() advances, before anything at
- *    their tick can run or be scheduled. Actions live in pooled event
- *    nodes as small-buffer InlineActions, so steady-state scheduling
- *    performs zero heap allocations.
- *  - Heap (NVCK_EVENT_QUEUE=heap): the legacy kernel, kept verbatim as
- *    a differential baseline — one std::priority_queue of
- *    {Tick, seq, std::function} entries, an allocation per scheduled
- *    closure and O(log n) per push/pop.
+ * The kernel is a two-tier calendar queue. The near-future tier is a
+ * power-of-two ring of per-tick FIFO buckets covering ringSpan ticks
+ * ahead of now() — every short-delay event (tCAS, tBurst, retry
+ * backoffs, the cores' step quantum) schedules and pops in O(1) with
+ * no comparator churn. Events beyond the window wait in a sorted
+ * overflow tier (a small binary heap) and are promoted into buckets
+ * whenever now() advances, before anything at their tick can run or
+ * be scheduled. Actions live in pooled event nodes as small-buffer
+ * InlineActions, so steady-state scheduling performs zero heap
+ * allocations.
  *
  * Determinism argument for the calendar tier: seq numbers increase
  * monotonically with schedule order. A bucket receives events either
@@ -30,7 +24,8 @@
  * tick is possible (an event is only eligible for direct placement
  * once its tick is inside the window, and every window advance
  * promotes first). Hence every bucket FIFO is seq-sorted and the drain
- * order equals the heap kernel's (when, seq) order exactly.
+ * order equals a (when, seq) priority queue's order exactly — the
+ * reference tests/common/test_event_queue.cc drains against.
  */
 
 #ifndef NVCK_COMMON_EVENT_HH
@@ -38,10 +33,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -50,24 +43,6 @@
 #include "common/types.hh"
 
 namespace nvck {
-
-/** Which event-queue implementation to run. */
-enum class EventKernel
-{
-    Calendar, //!< pooled two-tier calendar queue (default)
-    Heap,     //!< legacy std::function binary heap
-};
-
-/** Human-readable kernel name ("calendar" / "heap"). */
-const char *eventKernelName(EventKernel kernel);
-
-/**
- * The process-wide default kernel: Calendar, unless the environment
- * variable NVCK_EVENT_QUEUE is set to "heap". Any other value is
- * rejected with a one-line error and exit(2) (common/env.hh). Read
- * once and cached.
- */
-EventKernel defaultEventKernel();
 
 /**
  * A non-allocating, small-buffer-optimized callable slot for event
@@ -167,16 +142,13 @@ class EventQueue
     /** Ticks the near-future ring covers ahead of now(). */
     static constexpr Tick ringSpan = Tick{1} << 17;
 
-    explicit EventQueue(EventKernel kernel = defaultEventKernel());
+    EventQueue();
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Tick now() const { return currentTick; }
-
-    /** Which kernel this queue runs. */
-    EventKernel kernel() const { return impl; }
 
     /**
      * Schedule @p action to run at absolute time @p when. Scheduling
@@ -189,14 +161,6 @@ class EventQueue
     void
     schedule(Tick when, F &&action)
     {
-        if (impl == EventKernel::Heap) {
-            checkNotPast(when);
-            legacy.push(LegacyEntry{when, nextSeq++,
-                                    std::function<void()>(
-                                        std::forward<F>(action))});
-            bumpPending();
-            return;
-        }
         Node &n = acquireNode(when);
         n.action.emplace(std::forward<F>(action));
         insertCalendar(n);
@@ -280,24 +244,6 @@ class EventQueue
         InlineAction action;
     };
 
-    /** Legacy heap-kernel entry (the pre-calendar representation). */
-    struct LegacyEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> action;
-    };
-    struct LegacyLater
-    {
-        bool
-        operator()(const LegacyEntry &a, const LegacyEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     struct Bucket
     {
         std::uint32_t head = UINT32_MAX;
@@ -334,7 +280,6 @@ class EventQueue
     /** Pop + dispatch the earliest event (advances now()). */
     void executeNext();
 
-    EventKernel impl;
     Tick currentTick = 0;
     std::uint64_t nextSeq = 0;
     std::size_t sizeCount = 0;
@@ -352,11 +297,6 @@ class EventQueue
     std::vector<std::unique_ptr<Node[]>> chunks;
     std::uint32_t freeHead = nil;
     std::uint32_t allocated = 0;
-
-    // Legacy heap tier.
-    std::priority_queue<LegacyEntry, std::vector<LegacyEntry>,
-                        LegacyLater>
-        legacy;
 };
 
 } // namespace nvck

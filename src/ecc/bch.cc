@@ -144,13 +144,12 @@ runWide(std::uint64_t *state, const std::uint64_t *wtab, unsigned width,
 } // namespace
 
 BchCodec::BchCodec(unsigned data_bits, unsigned correct_bits,
-                   unsigned field_degree, CodecKernel kernel)
+                   unsigned field_degree)
     : dataBits(data_bits),
       correctBits(correct_bits),
       checkBits(0),
       gf(field_degree ? field_degree
-                      : pickFieldDegree(data_bits, correct_bits)),
-      kern(kernel)
+                      : pickFieldDegree(data_bits, correct_bits))
 {
     NVCK_ASSERT(correct_bits >= 1, "BCH needs t >= 1");
 
@@ -179,7 +178,7 @@ BchCodec::BchCodec(unsigned data_bits, unsigned correct_bits,
                      : ~0ull;
 
     // Chien-search strides alpha^(-j) = alpha^(order - j), hoisted out
-    // of the per-position loop (used by both kernels).
+    // of the per-position loop.
     chienStride.resize(correctBits + 1, 1);
     for (unsigned j = 1; j <= correctBits; ++j)
         chienStride[j] = gf.alphaPow(gf.order() - j);
@@ -193,50 +192,8 @@ BchCodec::BchCodec(unsigned data_bits, unsigned correct_bits,
     for (unsigned idx = 0; idx < correctBits; ++idx)
         resFix[idx] = gf.alphaPow((rneg * (2 * idx + 1)) % ord);
 
-    setKernel(kernel);
-}
-
-void
-BchCodec::setKernel(CodecKernel kernel)
-{
-    kern = kernel;
-    if (kern == CodecKernel::Scalar)
-        buildScalarTables();
-    else
-        buildSlicedTables();
-}
-
-void
-BchCodec::buildScalarTables()
-{
-    if (!oddSynTables.empty())
-        return;
-    // Precompute alpha^(j*i) tables for odd syndrome indices j, flattened
-    // per j over codeword bit positions i.
-    const unsigned n_bits = dataBits + checkBits;
-    oddSynTables.resize(correctBits);
-    for (unsigned idx = 0; idx < correctBits; ++idx) {
-        const std::uint64_t j = 2ull * idx + 1;
-        auto &tab = oddSynTables[idx];
-        tab.resize(n_bits);
-        std::uint64_t e = 0;
-        for (unsigned i = 0; i < n_bits; ++i) {
-            tab[i] = gf.alphaPow(e);
-            e += j;
-            if (e >= gf.order())
-                e -= gf.order();
-        }
-    }
-}
-
-void
-BchCodec::buildSlicedTables()
-{
-    if (!synByteTab.empty())
-        return;
-
     // Slicing-by-8 remainder updates: encTable[v] = (v(x) * x^r) mod g,
-    // built by feeding the byte through the reference LFSR (high bit
+    // built by feeding the byte through the serial LFSR (high bit
     // first), so the table is bit-identical to eight serial steps. The
     // byte path needs r >= 8; tiny codes keep the serial loop.
     if (checkBits >= 8) {
@@ -254,10 +211,10 @@ BchCodec::buildSlicedTables()
     // 64-bit-wide residue lanes for the streaming scrub pass: lane b
     // entry v holds (v(x) * x^(8b) * x^r) mod g, grown from the
     // encTable rows by serial x-multiplications (stepBit with a zero
-    // input bit), so the lanes stay bit-identical to the reference
-    // LFSR. The rows are stored pre-shifted left by 64*remWords - r
-    // (the shifted domain of shiftRemUp), which makes the hot wide
-    // step branch-, extraction-, and mask-free. The wide feedback
+    // input bit), so the lanes stay bit-identical to the serial LFSR.
+    // The rows are stored pre-shifted left by 64*remWords - r (the
+    // shifted domain of shiftRemUp), which makes the hot wide step
+    // branch-, extraction-, and mask-free. The wide feedback
     // chunk must fit inside the remainder, so only codes with r >= 64
     // get them.
     if (checkBits >= 64) {
@@ -305,24 +262,6 @@ BchCodec::buildSlicedTables()
     }
 }
 
-std::size_t
-BchCodec::tableBytes() const
-{
-    std::size_t bytes = genWords.size() * sizeof(std::uint64_t) +
-                        chienStride.size() * sizeof(GfElem) +
-                        resFix.size() * sizeof(GfElem);
-    if (kern == CodecKernel::Scalar) {
-        for (const auto &tab : oddSynTables)
-            bytes += tab.size() * sizeof(GfElem);
-    } else {
-        bytes += encTable.size() * sizeof(std::uint64_t) +
-                 wideTab.size() * sizeof(std::uint64_t) +
-                 synByteTab.size() * sizeof(GfElem) +
-                 synStride.size() * sizeof(GfElem);
-    }
-    return bytes;
-}
-
 void
 BchCodec::stepBit(std::vector<std::uint64_t> &rem, bool in) const
 {
@@ -337,18 +276,6 @@ BchCodec::stepBit(std::vector<std::uint64_t> &rem, bool in) const
         for (unsigned w = 0; w < remWords; ++w)
             rem[w] ^= genWords[w];
     }
-}
-
-std::vector<std::uint64_t>
-BchCodec::scalarResidue(const std::vector<std::uint64_t> &words,
-                        std::size_t nbits) const
-{
-    // LFSR division: remainder of p(x) * x^r by g(x), processing bits
-    // from the highest coefficient downward.
-    std::vector<std::uint64_t> rem(remWords, 0);
-    for (std::size_t i = nbits; i-- > 0;)
-        stepBit(rem, ((words[i >> 6] >> (i & 63)) & 1) != 0);
-    return rem;
 }
 
 void
@@ -398,9 +325,11 @@ BchCodec::shiftRemDown(std::vector<std::uint64_t> &rem) const
 }
 
 std::vector<std::uint64_t>
-BchCodec::slicedResidue(const std::vector<std::uint64_t> &words,
-                        std::size_t nbits) const
+BchCodec::residue(const std::vector<std::uint64_t> &words,
+                  std::size_t nbits) const
 {
+    // LFSR division: remainder of p(x) * x^r by g(x), consuming the
+    // input from the highest coefficient downward.
     std::vector<std::uint64_t> rem(remWords, 0);
     if (checkBits < 8) {
         for (std::size_t i = nbits; i-- > 0;)
@@ -422,14 +351,6 @@ BchCodec::slicedResidue(const std::vector<std::uint64_t> &words,
                           (words[i >> 6] >> (i & 63)) & 0xFF));
     }
     return rem;
-}
-
-std::vector<std::uint64_t>
-BchCodec::residue(const std::vector<std::uint64_t> &words,
-                  std::size_t nbits) const
-{
-    return kern == CodecKernel::Sliced ? slicedResidue(words, nbits)
-                                       : scalarResidue(words, nbits);
 }
 
 BitVec
@@ -476,73 +397,28 @@ bool
 BchCodec::isCodeword(const BitVec &codeword) const
 {
     NVCK_ASSERT(codeword.size() == n(), "BCH isCodeword: bad length");
-    if (kern == CodecKernel::Sliced) {
-        // Word-level residue check: c(x) * x^r mod g is zero exactly
-        // when c(x) mod g is (x is invertible mod g since g(0) = 1).
-        const std::vector<std::uint64_t> rem =
-            slicedResidue(codeword.raw(), n());
-        return std::all_of(rem.begin(), rem.end(),
-                           [](std::uint64_t w) { return w == 0; });
-    }
-    // Scalar reference: r(x) mod g(x) == 0 via BinPoly division.
-    BinPoly received;
-    for (unsigned i = 0; i < n(); ++i)
-        if (codeword.get(i))
-            received.setBit(i);
-    return BinPoly::mod(received, gen).isZero();
+    // Word-level residue check: c(x) * x^r mod g is zero exactly when
+    // c(x) mod g is (x is invertible mod g since g(0) = 1).
+    const std::vector<std::uint64_t> rem = residue(codeword.raw(), n());
+    return std::all_of(rem.begin(), rem.end(),
+                       [](std::uint64_t w) { return w == 0; });
 }
 
 std::vector<GfElem>
 BchCodec::syndromes(const BitVec &codeword) const
 {
-    return kern == CodecKernel::Sliced ? syndromesSliced(codeword)
-                                       : syndromesScalar(codeword);
+    NVCK_ASSERT(codeword.size() >= n(), "BCH syndromes: word of ",
+                codeword.size(), " bits is shorter than n = ", n());
+    return foldSyndromes(codeword.raw(), n(), nullptr);
 }
 
 std::vector<GfElem>
-BchCodec::syndromesScalar(const BitVec &codeword) const
-{
-    std::vector<GfElem> syn(2 * correctBits, 0);
-    const unsigned n_bits = n();
-    // Odd syndromes from the tables; iterate set bits word-by-word.
-    // Words are masked to the codeword length up front, so an
-    // over-long BitVec contributes nothing past n().
-    const auto &words = codeword.raw();
-    const std::size_t n_words = (n_bits + 63) / 64;
-    const std::size_t scan = std::min(words.size(), n_words);
-    for (std::size_t w = 0; w < scan; ++w) {
-        std::uint64_t bits = words[w];
-        if (w == n_words - 1 && (n_bits & 63) != 0)
-            bits &= (1ull << (n_bits & 63)) - 1;
-        while (bits) {
-            const unsigned i =
-                static_cast<unsigned>(w * 64 +
-                                      std::countr_zero(bits));
-            bits &= bits - 1;
-            for (unsigned idx = 0; idx < correctBits; ++idx)
-                syn[2 * idx] ^= oddSynTables[idx][i];
-        }
-    }
-    // Even syndromes via the binary-BCH identity S_{2j} = S_j^2. Work
-    // into a properly indexed array: entry j-1 holds S_j.
-    std::vector<GfElem> out(2 * correctBits, 0);
-    for (unsigned idx = 0; idx < correctBits; ++idx)
-        out[2 * idx] = syn[2 * idx]; // S_{2idx+1}
-    for (unsigned j = 2; j <= 2 * correctBits; j += 2) {
-        const GfElem half = out[j / 2 - 1];
-        out[j - 1] = gf.mul(half, half);
-    }
-    return out;
-}
-
-std::vector<GfElem>
-BchCodec::syndromesSliced(const BitVec &codeword) const
+BchCodec::foldSyndromes(const std::vector<std::uint64_t> &words,
+                        std::size_t nbits, const GfElem *fix) const
 {
     std::vector<GfElem> out(2 * correctBits, 0);
-    const unsigned n_bits = n();
-    const auto &words = codeword.raw();
-    const std::size_t n_bytes = (n_bits + 7) / 8;
-    const unsigned tail_bits = n_bits & 7;
+    const std::size_t n_bytes = (nbits + 7) / 8;
+    const unsigned tail_bits = nbits & 7;
     const std::uint64_t tail_mask =
         tail_bits != 0 ? (1ull << tail_bits) - 1 : 0xFFull;
 
@@ -560,9 +436,9 @@ BchCodec::syndromesSliced(const BitVec &codeword) const
                 byte &= tail_mask;
             acc = gf.mul(acc, stride) ^ tab[byte];
         }
-        out[2 * idx] = acc;
+        out[2 * idx] = fix ? gf.mul(acc, fix[idx]) : acc;
     }
-    // Even syndromes via squaring, exactly as the scalar kernel.
+    // Even syndromes via the binary-BCH identity S_{2j} = S_j^2.
     for (unsigned j = 2; j <= 2 * correctBits; j += 2) {
         const GfElem half = out[j / 2 - 1];
         out[j - 1] = gf.mul(half, half);
@@ -582,7 +458,7 @@ BchCodec::residueAbsorbBytes(BchResidue &state, const std::uint8_t *bytes,
 {
     auto &rem = state.rem;
     std::size_t i = count;
-    if (kern == CodecKernel::Sliced && checkBits >= 8) {
+    if (checkBits >= 8) {
         if (!wideTab.empty() && i >= 8) {
             // Whole 8-byte chunks from the top down through the
             // register-resident wide run; the low i % 8 bytes fall
@@ -622,7 +498,7 @@ BchCodec::residueAbsorbBits(BchResidue &state, const std::uint64_t *words,
 {
     auto &rem = state.rem;
     std::size_t i = nbits;
-    if (kern == CodecKernel::Sliced && checkBits >= 8) {
+    if (checkBits >= 8) {
         // Leading partial byte bit-serially so the byte and chunk
         // extractions below never straddle a storage word.
         while ((i & 7) != 0) {
@@ -669,49 +545,9 @@ BchCodec::residueIsZero(const BchResidue &state) const
 std::vector<GfElem>
 BchCodec::syndromesFromResidue(const BchResidue &state) const
 {
-    std::vector<GfElem> out(2 * correctBits, 0);
-    const auto &words = state.rem;
-    if (kern == CodecKernel::Sliced && checkBits >= 8) {
-        // Same Horner fold as syndromesSliced, but over the r-bit
-        // remainder instead of the n-bit codeword.
-        const std::size_t n_bytes = (checkBits + 7) / 8;
-        const unsigned tail_bits = checkBits & 7;
-        const std::uint64_t tail_mask =
-            tail_bits != 0 ? (1ull << tail_bits) - 1 : 0xFFull;
-        for (unsigned idx = 0; idx < correctBits; ++idx) {
-            const GfElem *tab =
-                &synByteTab[static_cast<std::size_t>(idx) * 256];
-            const GfElem stride = synStride[idx];
-            GfElem acc = 0;
-            for (std::size_t w = n_bytes; w-- > 0;) {
-                const std::size_t bit = w * 8;
-                std::uint64_t byte =
-                    (words[bit >> 6] >> (bit & 63)) & 0xFF;
-                if (w == n_bytes - 1)
-                    byte &= tail_mask;
-                acc = gf.mul(acc, stride) ^ tab[byte];
-            }
-            out[2 * idx] = gf.mul(acc, resFix[idx]);
-        }
-    } else {
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            std::uint64_t bits = words[w];
-            while (bits) {
-                const unsigned i = static_cast<unsigned>(
-                    w * 64 + std::countr_zero(bits));
-                bits &= bits - 1;
-                for (unsigned idx = 0; idx < correctBits; ++idx)
-                    out[2 * idx] ^= oddSynTables[idx][i];
-            }
-        }
-        for (unsigned idx = 0; idx < correctBits; ++idx)
-            out[2 * idx] = gf.mul(out[2 * idx], resFix[idx]);
-    }
-    for (unsigned j = 2; j <= 2 * correctBits; j += 2) {
-        const GfElem half = out[j / 2 - 1];
-        out[j - 1] = gf.mul(half, half);
-    }
-    return out;
+    // The syndrome fold over the r-bit remainder instead of the n-bit
+    // codeword, each odd syndrome scaled by its alpha^(-rj) fixup.
+    return foldSyndromes(state.rem, checkBits, resFix.data());
 }
 
 bool
@@ -793,24 +629,22 @@ BchCodec::chienSearch(const GfPoly &lambda, unsigned nu, bool early_stop,
 }
 
 BchDecodeResult
-BchCodec::solveFromResidue(const BchResidue &state,
-                           ScrubDecodePath path) const
+BchCodec::solveFromResidue(const BchResidue &state) const
 {
     BchDecodeResult result;
     if (residueIsZero(state))
         return result; // Clean
 
     const std::vector<GfElem> syn = syndromesFromResidue(state);
-    const bool fast = path == ScrubDecodePath::Fast;
 
     GfPoly lambda;
     unsigned nu = 0;
-    if (!bmLocator(syn, fast, lambda, nu)) {
+    if (!bmLocator(syn, /*fast=*/true, lambda, nu)) {
         result.status = DecodeStatus::Uncorrectable;
         return result;
     }
     std::vector<std::uint32_t> positions;
-    if (!chienSearch(lambda, nu, fast, positions)) {
+    if (!chienSearch(lambda, nu, /*early_stop=*/true, positions)) {
         result.status = DecodeStatus::Uncorrectable;
         return result;
     }
@@ -833,8 +667,8 @@ BchCodec::decode(BitVec &codeword) const
 
     const std::vector<GfElem> syn = syndromes(codeword);
 
-    // Berlekamp-Massey over GF(2^m), then the exhaustive Chien scan:
-    // the reference pipeline (ScrubDecodePath::Full semantics).
+    // Berlekamp-Massey over GF(2^m), every step, then the exhaustive
+    // Chien scan: the full pipeline solveFromResidue is pinned against.
     GfPoly lambda;
     unsigned nu = 0;
     if (!bmLocator(syn, /*fast=*/false, lambda, nu)) {

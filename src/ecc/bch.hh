@@ -6,12 +6,12 @@
  * 2^m - 1 - r), which is how both the per-block 14-EC code and the
  * per-chip 22-EC VLEW code of the paper are realised.
  *
- * Two interchangeable kernel implementations back the hot loops (see
- * kernel.hh): the Scalar reference (one bit per LFSR step, per-set-bit
- * syndrome accumulation) and the default Sliced kernel (CRC-style
- * slicing-by-8 remainder tables, per-byte partial-syndrome tables with
- * alpha^(8j) Horner strides). Both produce bit-identical codewords,
- * syndromes, and decode results; the differential tests enforce it.
+ * The hot loops are table-driven: CRC-style slicing-by-8 remainder
+ * tables (64-bit-wide lanes for r >= 64, the bit-serial LFSR for
+ * r < 8) and per-byte partial-syndrome tables with alpha^(8j) Horner
+ * strides. tests/ecc/codec_reference.hh holds the table-free algebra
+ * (polynomial division, direct alpha-power sums) that the differential
+ * tests pin them against.
  */
 
 #ifndef NVCK_ECC_BCH_HH
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/bitvec.hh"
-#include "ecc/kernel.hh"
 #include "gf/binpoly.hh"
 #include "gf/gf2m.hh"
 
@@ -76,13 +75,9 @@ class BchCodec
      * @param correct_bits  t, the design correction capability.
      * @param field_degree  m; 0 picks the smallest m that fits
      *        k + t*m check bits within 2^m - 1.
-     * @param kernel  which inner-loop implementation to run; defaults
-     *        to the process-wide default (Sliced unless overridden via
-     *        NVCK_CODEC_KERNEL=scalar).
      */
     BchCodec(unsigned data_bits, unsigned correct_bits,
-             unsigned field_degree = 0,
-             CodecKernel kernel = defaultCodecKernel());
+             unsigned field_degree = 0);
 
     unsigned k() const { return dataBits; }
     unsigned t() const { return correctBits; }
@@ -91,12 +86,6 @@ class BchCodec
     /** Codeword length k + r. */
     unsigned n() const { return dataBits + checkBits; }
     const Gf2m &field() const { return gf; }
-
-    /** The kernel this codec currently dispatches to. */
-    CodecKernel kernel() const { return kern; }
-
-    /** Switch kernels, building any missing lookup tables. */
-    void setKernel(CodecKernel kernel);
 
     /**
      * Systematically encode @p data (k bits) into a fresh n-bit codeword
@@ -133,9 +122,9 @@ class BchCodec
     const BinPoly &generator() const { return gen; }
 
     /**
-     * Syndromes S_1 .. S_2t of the received word. Bits at positions
-     * >= n() of an over-long vector are ignored (masked word-wise, not
-     * relied on to be absent).
+     * Syndromes S_1 .. S_2t of the received word (at least n() bits).
+     * Bits at positions >= n() of an over-long vector are ignored
+     * (masked word-wise, not relied on to be absent).
      */
     std::vector<GfElem> syndromes(const BitVec &codeword) const;
 
@@ -145,9 +134,9 @@ class BchCodec
     /**
      * Absorb the next-lower @p count bytes of the received word
      * (byte [count-1] is the segment's highest coefficient). Runs the
-     * 64-bit-wide sliced lanes when available (Sliced kernel, r >= 64),
-     * the slicing-by-8 byte step for r >= 8, and the bit-serial
-     * reference LFSR otherwise — all bit-identical by construction.
+     * 64-bit-wide lanes when r >= 64, the slicing-by-8 byte step for
+     * r >= 8, and the bit-serial LFSR otherwise — all bit-identical by
+     * construction.
      */
     void residueAbsorbBytes(BchResidue &state, const std::uint8_t *bytes,
                             std::size_t count) const;
@@ -175,37 +164,24 @@ class BchCodec
      * Decode from a fully absorbed residue without materialising the
      * codeword: returns the same status/corrections/positions decode()
      * would, but applies no bit flips (the caller owns the storage).
-     * The Fast path skips the provably zero-discrepancy even-syndrome
-     * BM steps, aborts as soon as the register length exceeds t, and
-     * stops the Chien scan at the nu-th root; Full mirrors decode()
-     * step for step. Both are bit-identical (pinned by tests).
+     * It skips the provably zero-discrepancy even-syndrome BM steps,
+     * aborts as soon as the register length exceeds t, and stops the
+     * Chien scan at the nu-th root; decode() runs every step, and the
+     * tests pin the two against each other.
      */
-    BchDecodeResult
-    solveFromResidue(const BchResidue &state,
-                     ScrubDecodePath path = defaultScrubDecodePath()) const;
-
-    /**
-     * Lookup-table bytes held by this instance for its current kernel
-     * (for footprint reporting; excludes the GF(2^m) log/exp tables).
-     */
-    std::size_t tableBytes() const;
+    BchDecodeResult solveFromResidue(const BchResidue &state) const;
 
   private:
-    /** Scalar (per-set-bit) syndrome accumulation. */
-    std::vector<GfElem> syndromesScalar(const BitVec &codeword) const;
-    /** Sliced (per-byte table + Horner stride) syndromes. */
-    std::vector<GfElem> syndromesSliced(const BitVec &codeword) const;
+    /**
+     * Syndromes of the first @p nbits bits of @p words: the odd ones by
+     * a per-byte Horner fold, each scaled by @p fix[idx] when @p fix is
+     * non-null, then the even ones by squaring.
+     */
+    std::vector<GfElem>
+    foldSyndromes(const std::vector<std::uint64_t> &words, std::size_t nbits,
+                  const GfElem *fix) const;
 
-    /** Bit-serial LFSR remainder of the first @p nbits of @p words
-     *  times x^r, modulo g. */
-    std::vector<std::uint64_t>
-    scalarResidue(const std::vector<std::uint64_t> &words,
-                  std::size_t nbits) const;
-    /** Slicing-by-8 version of scalarResidue (identical result). */
-    std::vector<std::uint64_t>
-    slicedResidue(const std::vector<std::uint64_t> &words,
-                  std::size_t nbits) const;
-    /** Dispatch to the active residue kernel. */
+    /** Remainder of (first @p nbits of @p words)(x) * x^r modulo g. */
     std::vector<std::uint64_t>
     residue(const std::vector<std::uint64_t> &words,
             std::size_t nbits) const;
@@ -244,38 +220,24 @@ class BchCodec
     bool chienSearch(const GfPoly &lambda, unsigned nu, bool early_stop,
                      std::vector<std::uint32_t> &positions) const;
 
-    /** Build the scalar per-bit syndrome tables (idempotent). */
-    void buildScalarTables();
-    /** Build the sliced remainder/syndrome tables (idempotent). */
-    void buildSlicedTables();
-
     unsigned dataBits;
     unsigned correctBits;
     unsigned checkBits;
     Gf2m gf;
     BinPoly gen;
-    CodecKernel kern;
     /** Generator packed low-to-high for the encode inner loop. */
     std::vector<std::uint64_t> genWords;
 
-    // -- geometry of the packed remainder, shared by both kernels --
+    // -- geometry of the packed remainder --
     /** Words holding the r-bit remainder. */
     unsigned remWords = 0;
     /** Mask for the top remainder word (all-ones when r % 64 == 0). */
     std::uint64_t remTopMask = ~0ull;
 
-    // -- Scalar kernel tables --
-    /**
-     * Per-bit syndrome contribution tables: oddSynTables[j][i] =
-     * alpha^((2j+1) * i) for odd syndrome index 2j+1 and bit position i;
-     * built when the Scalar kernel is selected.
-     */
-    std::vector<std::vector<GfElem>> oddSynTables;
-
-    // -- Sliced kernel tables --
+    // -- lookup tables --
     /**
      * Slicing-by-8 remainder-update table, flattened 256 x remWords:
-     * entry v holds (v(x) * x^r) mod g packed low-to-high.
+     * entry v holds (v(x) * x^r) mod g packed low-to-high (r >= 8).
      */
     std::vector<std::uint64_t> encTable;
     /**
@@ -297,7 +259,6 @@ class BchCodec
     /** Horner stride per odd syndrome: alpha^(8 * (2j+1) mod order). */
     std::vector<GfElem> synStride;
 
-    // -- always built (used by decode regardless of kernel) --
     /** chienStride[j] = alpha^(order - j), hoisted out of the search. */
     std::vector<GfElem> chienStride;
     /**

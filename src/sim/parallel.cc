@@ -170,10 +170,9 @@ printTimings(const std::vector<std::pair<std::string, double>> &times,
     const EventKernelTotals ev = eventKernelTotals();
     if (ev.queues > 0) {
         std::fprintf(stderr,
-                     "# event kernel (%s): %llu queues, %llu events, "
+                     "# event kernel: %llu queues, %llu events, "
                      "%llu overflow promotions, peak pending %llu, "
                      "pool high-water %llu\n",
-                     eventKernelName(defaultEventKernel()),
                      static_cast<unsigned long long>(ev.queues),
                      static_cast<unsigned long long>(ev.executed),
                      static_cast<unsigned long long>(

@@ -95,7 +95,7 @@ class System : public CoreContext, public MemSink
     Workload &workload() { return *bench; }
     const SystemStats &stats() const { return sysStats; }
     const SystemConfig &config() const { return cfg; }
-    /** The system's event queue (kernel identity, per-queue counters). */
+    /** The system's event queue (per-queue counters). */
     const EventQueue &events() const { return eq; }
     /** Mutable queue access for co-scheduled engines (sim/ras.hh). */
     EventQueue &events() { return eq; }

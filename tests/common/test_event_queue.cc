@@ -1,82 +1,209 @@
 /**
  * @file
- * Property suite for the two event-queue kernels. The calendar queue
- * must be indistinguishable from the legacy heap in execution order —
- * every test that pins ordering runs against both kernels, and a
- * randomized differential drain compares them event for event. The
- * pool tests assert the tentpole's zero-steady-state-allocation claim
- * through the pool high-water counter.
+ * Property suite for the calendar event queue. Every test that pins
+ * ordering runs against both the production calendar queue and a
+ * test-side reference — a (when, seq) binary heap of std::function
+ * entries, the simplest queue with the required order — so the
+ * reference is held to the same contract it is used to check. A
+ * randomized differential drain then compares the two event for event.
+ * The pool tests assert the calendar queue's zero-steady-state-
+ * allocation claim through the pool high-water counter.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <queue>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/event.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
 namespace nvck {
 namespace {
 
-class EventQueueKernels
-    : public ::testing::TestWithParam<EventKernel>
+/**
+ * Reference event queue: one std::priority_queue ordered by
+ * (when, seq), with EventQueue's scheduling surface (schedule,
+ * recurring events, run/runUntil, halt, the executed counter).
+ */
+class HeapQueue
+{
+  public:
+    struct Recurring
+    {
+        std::size_t idx = 0;
+    };
+
+    Tick now() const { return currentTick; }
+    bool empty() const { return heap.empty(); }
+    std::size_t pending() const { return heap.size(); }
+    const EventQueueStats &stats() const { return statistics; }
+    void halt() { halted = true; }
+
+    template <typename F>
+    void
+    schedule(Tick when, F &&action)
+    {
+        NVCK_ASSERT(when >= currentTick,
+                    "HeapQueue::schedule into the past: event at tick ",
+                    when, " but now() is ", currentTick);
+        heap.push(Entry{when, nextSeq++,
+                        std::function<void()>(std::forward<F>(action))});
+    }
+
+    template <typename F>
+    Recurring
+    makeRecurring(F &&action)
+    {
+        recurring.emplace_back(std::forward<F>(action));
+        return Recurring{recurring.size() - 1};
+    }
+
+    void
+    rearm(Recurring ev, Tick when)
+    {
+        schedule(when, [this, idx = ev.idx] { recurring[idx](); });
+    }
+
+    void
+    run()
+    {
+        halted = false;
+        while (!heap.empty() && !halted)
+            executeNext();
+    }
+
+    void
+    runUntil(Tick limit)
+    {
+        halted = false;
+        while (!heap.empty() && !halted && heap.top().when <= limit)
+            executeNext();
+        if (!halted && currentTick < limit)
+            currentTick = limit;
+    }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::function<void()> action;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
+    void
+    executeNext()
+    {
+        Entry entry = heap.top();
+        heap.pop();
+        currentTick = entry.when;
+        statistics.executed.inc();
+        entry.action();
+    }
+
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap;
+    std::deque<std::function<void()>> recurring; //!< stable addresses
+    Tick currentTick = 0;
+    std::uint64_t nextSeq = 0;
+    bool halted = false;
+    EventQueueStats statistics;
+};
+
+/** Which queue a property test runs against. */
+enum class Kernel
+{
+    Calendar, //!< the production EventQueue
+    Heap,     //!< the HeapQueue reference
+};
+
+/** Run @p body on a fresh queue of the requested kind. */
+template <typename Body>
+void
+withQueue(Kernel kernel, Body &&body)
+{
+    if (kernel == Kernel::Calendar) {
+        EventQueue eq;
+        body(eq);
+    } else {
+        HeapQueue eq;
+        body(eq);
+    }
+}
+
+class EventQueueKernels : public ::testing::TestWithParam<Kernel>
 {};
 
 INSTANTIATE_TEST_SUITE_P(Kernels, EventQueueKernels,
-                         ::testing::Values(EventKernel::Calendar,
-                                           EventKernel::Heap),
-                         [](const auto &info) {
-                             return std::string(
-                                 eventKernelName(info.param));
+                         ::testing::Values(Kernel::Calendar, Kernel::Heap),
+                         [](const auto &info) -> std::string {
+                             return info.param == Kernel::Calendar
+                                        ? "calendar"
+                                        : "heap";
                          });
 
 TEST_P(EventQueueKernels, FifoTieOrderAtOneTick)
 {
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    for (int i = 0; i < 16; ++i)
-        eq.schedule(100, [&order, i] { order.push_back(i); });
-    eq.run();
-    ASSERT_EQ(order.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    withQueue(GetParam(), [](auto &eq) {
+        std::vector<int> order;
+        for (int i = 0; i < 16; ++i)
+            eq.schedule(100, [&order, i] { order.push_back(i); });
+        eq.run();
+        ASSERT_EQ(order.size(), 16u);
+        for (int i = 0; i < 16; ++i)
+            EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    });
 }
 
 TEST_P(EventQueueKernels, FifoTiesInterleavedWithOtherTicks)
 {
     // Ties at tick 50 are declared between events at other ticks; the
     // tie-break must follow declaration order, not bucket/heap layout.
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    eq.schedule(50, [&] { order.push_back(0); });
-    eq.schedule(10, [&] { order.push_back(100); });
-    eq.schedule(50, [&] { order.push_back(1); });
-    eq.schedule(90, [&] { order.push_back(200); });
-    eq.schedule(50, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{100, 0, 1, 2, 200}));
+    withQueue(GetParam(), [](auto &eq) {
+        std::vector<int> order;
+        eq.schedule(50, [&] { order.push_back(0); });
+        eq.schedule(10, [&] { order.push_back(100); });
+        eq.schedule(50, [&] { order.push_back(1); });
+        eq.schedule(90, [&] { order.push_back(200); });
+        eq.schedule(50, [&] { order.push_back(2); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{100, 0, 1, 2, 200}));
+    });
 }
 
 TEST_P(EventQueueKernels, ScheduleDuringExecuteRunsInOrder)
 {
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    eq.schedule(10, [&] {
-        order.push_back(1);
-        // Same-tick insert during execution: runs after already-queued
-        // same-tick events (larger seq), before later ticks.
-        eq.schedule(10, [&] { order.push_back(3); });
-        eq.schedule(20, [&] { order.push_back(4); });
+    withQueue(GetParam(), [](auto &eq) {
+        std::vector<int> order;
+        eq.schedule(10, [&] {
+            order.push_back(1);
+            // Same-tick insert during execution: runs after already-queued
+            // same-tick events (larger seq), before later ticks.
+            eq.schedule(10, [&] { order.push_back(3); });
+            eq.schedule(20, [&] { order.push_back(4); });
+        });
+        eq.schedule(10, [&] { order.push_back(2); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+        EXPECT_EQ(eq.stats().executed.value(), 4u);
     });
-    eq.schedule(10, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-    EXPECT_EQ(eq.stats().executed.value(), 4u);
 }
 
 TEST_P(EventQueueKernels, HaltStopsAfterCurrentEventAndResumes)
@@ -84,23 +211,24 @@ TEST_P(EventQueueKernels, HaltStopsAfterCurrentEventAndResumes)
     // The crash-injector contract: halt() inside an event freezes the
     // queue at that event's tick with everything else still pending; a
     // later run picks up exactly where the machine died.
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] {
-        order.push_back(2);
-        eq.halt();
-    });
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.runUntil(100);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(eq.now(), 20u); // not advanced to the limit
-    EXPECT_EQ(eq.pending(), 1u);
+    withQueue(GetParam(), [](auto &eq) {
+        std::vector<int> order;
+        eq.schedule(10, [&] { order.push_back(1); });
+        eq.schedule(20, [&] {
+            order.push_back(2);
+            eq.halt();
+        });
+        eq.schedule(30, [&] { order.push_back(3); });
+        eq.runUntil(100);
+        EXPECT_EQ(order, (std::vector<int>{1, 2}));
+        EXPECT_EQ(eq.now(), 20u); // not advanced to the limit
+        EXPECT_EQ(eq.pending(), 1u);
 
-    eq.runUntil(100);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 100u);
-    EXPECT_TRUE(eq.empty());
+        eq.runUntil(100);
+        EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+        EXPECT_EQ(eq.now(), 100u);
+        EXPECT_TRUE(eq.empty());
+    });
 }
 
 TEST_P(EventQueueKernels, RunUntilIdleAdvanceThenScheduleKeepsOrder)
@@ -110,14 +238,15 @@ TEST_P(EventQueueKernels, RunUntilIdleAdvanceThenScheduleKeepsOrder)
     // event E far in the future (overflow tier) followed by a direct
     // schedule F at the same tick after the advance must still run
     // E-before-F (E has the smaller seq).
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    const Tick far = EventQueue::ringSpan + 500;
-    eq.schedule(far, [&] { order.push_back(1); }); // E: overflow
-    eq.runUntil(far - 100); // idle advance; window now covers far
-    eq.schedule(far, [&] { order.push_back(2); }); // F: direct bucket
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    withQueue(GetParam(), [](auto &eq) {
+        std::vector<int> order;
+        const Tick far = EventQueue::ringSpan + 500;
+        eq.schedule(far, [&] { order.push_back(1); }); // E: overflow
+        eq.runUntil(far - 100); // idle advance; window now covers far
+        eq.schedule(far, [&] { order.push_back(2); }); // F: direct bucket
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    });
 }
 
 TEST_P(EventQueueKernels, OverflowPromotionPreservesSeqOrder)
@@ -125,76 +254,85 @@ TEST_P(EventQueueKernels, OverflowPromotionPreservesSeqOrder)
     // Events straddling the ring window at the same far tick, declared
     // alternately before (overflow) and after (bucket) the window
     // advance, must drain in declaration order.
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    const Tick far = 2 * EventQueue::ringSpan + 7;
-    eq.schedule(far, [&] { order.push_back(0); });
-    eq.schedule(far + 1, [&] { order.push_back(10); });
-    // Advance time by executing an early event so the window slides.
-    eq.schedule(EventQueue::ringSpan + 100, [&, far] {
-        eq.schedule(far, [&] { order.push_back(1); });
-        eq.schedule(far + 1, [&] { order.push_back(11); });
+    withQueue(GetParam(), [](auto &eq) {
+        using Queue = std::decay_t<decltype(eq)>;
+        std::vector<int> order;
+        const Tick far = 2 * EventQueue::ringSpan + 7;
+        eq.schedule(far, [&] { order.push_back(0); });
+        eq.schedule(far + 1, [&] { order.push_back(10); });
+        // Advance time by executing an early event so the window slides.
+        eq.schedule(EventQueue::ringSpan + 100, [&, far] {
+            eq.schedule(far, [&] { order.push_back(1); });
+            eq.schedule(far + 1, [&] { order.push_back(11); });
+        });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11}));
+        if constexpr (std::is_same_v<Queue, EventQueue>) {
+            EXPECT_GE(eq.stats().overflowPromotions.value(), 2u);
+        }
     });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11}));
-    if (GetParam() == EventKernel::Calendar) {
-        EXPECT_GE(eq.stats().overflowPromotions.value(), 2u);
-    }
 }
 
 TEST_P(EventQueueKernels, RecurringRearmRunsAndReuses)
 {
-    EventQueue eq(GetParam());
-    int fired = 0;
-    EventQueue::Recurring ev;
-    ev = eq.makeRecurring([&] {
-        ++fired;
-        if (fired < 5)
-            eq.rearm(ev, eq.now() + 10);
+    withQueue(GetParam(), [](auto &eq) {
+        using Queue = std::decay_t<decltype(eq)>;
+        int fired = 0;
+        typename Queue::Recurring ev;
+        ev = eq.makeRecurring([&] {
+            ++fired;
+            if (fired < 5)
+                eq.rearm(ev, eq.now() + 10);
+        });
+        eq.rearm(ev, 10);
+        eq.run();
+        EXPECT_EQ(fired, 5);
+        EXPECT_EQ(eq.now(), 50u);
+        EXPECT_EQ(eq.stats().executed.value(), 5u);
     });
-    eq.rearm(ev, 10);
-    eq.run();
-    EXPECT_EQ(fired, 5);
-    EXPECT_EQ(eq.now(), 50u);
-    EXPECT_EQ(eq.stats().executed.value(), 5u);
 }
 
 TEST_P(EventQueueKernels, RecurringInterleavesWithPlainEventsBySeq)
 {
-    EventQueue eq(GetParam());
-    std::vector<int> order;
-    EventQueue::Recurring ev =
-        eq.makeRecurring([&] { order.push_back(0); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.rearm(ev, 10); // same tick, later seq: runs after
-    eq.schedule(10, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+    withQueue(GetParam(), [](auto &eq) {
+        using Queue = std::decay_t<decltype(eq)>;
+        std::vector<int> order;
+        typename Queue::Recurring ev =
+            eq.makeRecurring([&] { order.push_back(0); });
+        eq.schedule(10, [&] { order.push_back(1); });
+        eq.rearm(ev, 10); // same tick, later seq: runs after
+        eq.schedule(10, [&] { order.push_back(2); });
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+    });
 }
 
 TEST_P(EventQueueKernels, SchedulingIntoThePastDies)
 {
-    EventQueue eq(GetParam());
-    eq.schedule(100, [] {});
-    eq.run();
-    ASSERT_EQ(eq.now(), 100u);
-    EXPECT_DEATH(eq.schedule(99, [] {}), "schedule into the past");
+    withQueue(GetParam(), [](auto &eq) {
+        eq.schedule(100, [] {});
+        eq.run();
+        ASSERT_EQ(eq.now(), 100u);
+        EXPECT_DEATH(eq.schedule(99, [] {}), "schedule into the past");
+    });
 }
 
 TEST_P(EventQueueKernels, RearmIntoThePastDies)
 {
-    EventQueue eq(GetParam());
-    EventQueue::Recurring ev = eq.makeRecurring([] {});
-    eq.schedule(100, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.rearm(ev, 99), "schedule into the past");
+    withQueue(GetParam(), [](auto &eq) {
+        using Queue = std::decay_t<decltype(eq)>;
+        typename Queue::Recurring ev = eq.makeRecurring([] {});
+        eq.schedule(100, [] {});
+        eq.run();
+        EXPECT_DEATH(eq.rearm(ev, 99), "schedule into the past");
+    });
 }
 
 TEST(EventQueuePool, ChurnReusesNodesWithoutGrowth)
 {
     // Steady-state churn: after warm-up, scheduling must never grow
     // the pool — the high-water mark is the zero-allocation assertion.
-    EventQueue eq(EventKernel::Calendar);
+    EventQueue eq;
     const int depth = 64;
     std::uint64_t executed = 0;
     for (int i = 0; i < depth; ++i) {
@@ -228,7 +366,7 @@ TEST(EventQueuePool, OverflowChurnStaysFlatToo)
 {
     // Far-future scheduling exercises the overflow heap + promotion
     // path; nodes must still recycle once the window catches up.
-    EventQueue eq(EventKernel::Calendar);
+    EventQueue eq;
     std::uint64_t executed = 0;
     EventQueue::Recurring churn;
     std::uint64_t rounds = 0;
@@ -252,15 +390,15 @@ TEST(EventQueuePool, OverflowChurnStaysFlatToo)
 
 /**
  * Randomized differential drain: the same schedule script must execute
- * in the same order, at the same ticks, on both kernels. The script
+ * in the same order, at the same ticks, on the calendar queue and on
+ * the HeapQueue reference. The script
  * mixes same-tick ties, short and beyond-window delays, reentrant
  * scheduling from inside events, and occasional halts.
  */
 TEST(EventQueueDifferential, RandomScriptsDrainIdentically)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        auto runScript = [seed](EventKernel kernel) {
-            EventQueue eq(kernel);
+        auto runScript = [seed](auto &eq) {
             Rng rng(seed * 977 + 13);
             std::vector<std::pair<Tick, int>> trace;
             int nextId = 0;
@@ -304,8 +442,10 @@ TEST(EventQueueDifferential, RandomScriptsDrainIdentically)
             return std::make_pair(trace, eq.stats().executed.value());
         };
 
-        const auto calendar = runScript(EventKernel::Calendar);
-        const auto heap = runScript(EventKernel::Heap);
+        EventQueue calendarQueue;
+        HeapQueue heapQueue;
+        const auto calendar = runScript(calendarQueue);
+        const auto heap = runScript(heapQueue);
         ASSERT_EQ(calendar.second, heap.second) << "seed " << seed;
         ASSERT_EQ(calendar.first.size(), heap.first.size())
             << "seed " << seed;
@@ -320,7 +460,7 @@ TEST(EventQueueDifferential, LambdaCapturesUpTo48BytesFitInline)
 {
     // Compile-time contract: a 48-byte capture is accepted. (A larger
     // one is a static_assert failure — cannot be a runtime test.)
-    EventQueue eq(EventKernel::Calendar);
+    EventQueue eq;
     struct Fat
     {
         std::uint64_t a[5];

@@ -220,5 +220,14 @@ TEST(Bch, RandomizedStress)
     }
 }
 
+TEST(BchCodecDeathTest, SyndromesRejectWordShorterThanN)
+{
+    // The byte fold reads all n bits; a short word must be refused up
+    // front instead of being read past its storage.
+    const BchCodec codec(2048, 22);
+    const BitVec short_word(64);
+    EXPECT_DEATH(codec.syndromes(short_word), "shorter than n");
+}
+
 } // namespace
 } // namespace nvck
