@@ -70,21 +70,60 @@ SetAssocCache::victim(Addr addr)
 }
 
 void
+SetAssocCache::count(const CacheLine &line)
+{
+    if (!line.valid)
+        return;
+    dirtyPmCount += line.dirty && line.isPm;
+    omvCount += line.omv;
+}
+
+void
+SetAssocCache::uncount(const CacheLine &line)
+{
+    if (!line.valid)
+        return;
+    dirtyPmCount -= line.dirty && line.isPm;
+    omvCount -= line.omv;
+}
+
+void
 SetAssocCache::fill(CacheLine &line, Addr addr, bool is_pm, bool dirty)
 {
+    // The hierarchy may fill over a valid (even dirty) victim without
+    // invalidating it first.
+    uncount(line);
     line.blockAddr = addr / blockBytes * blockBytes;
     line.valid = true;
     line.dirty = dirty;
     line.isPm = is_pm;
     line.sam = false;
     line.omv = false;
+    count(line);
     touch(line);
 }
 
 void
 SetAssocCache::invalidate(CacheLine &line)
 {
+    uncount(line);
     line = CacheLine{};
+}
+
+void
+SetAssocCache::setDirty(CacheLine &line, bool dirty)
+{
+    uncount(line);
+    line.dirty = dirty;
+    count(line);
+}
+
+void
+SetAssocCache::makeOmv(CacheLine &line)
+{
+    uncount(line);
+    line.omv = true;
+    count(line);
 }
 
 } // namespace nvck

@@ -63,24 +63,31 @@ class SetAssocCache
      */
     CacheLine &victim(Addr addr);
 
-    /** Install @p addr into @p line (which must belong to its set). */
+    /**
+     * Install @p addr into @p line (which must belong to its set). The
+     * line's previous state, if any, leaves the occupancy counts.
+     */
     void fill(CacheLine &line, Addr addr, bool is_pm, bool dirty);
 
     /** Invalidate a line. */
     void invalidate(CacheLine &line);
 
+    /** Set or clear a line's dirty bit. */
+    void setDirty(CacheLine &line, bool dirty);
+
+    /** Turn a line into an OMV copy (invisible to lookup()). */
+    void makeOmv(CacheLine &line);
+
     /**
-     * Iterate all lines (occupancy statistics). Statically dispatched:
-     * the sweep visits every line of a multi-MB directory, so the
-     * callback must inline rather than bounce through a std::function.
+     * Occupancy counts, kept current by fill(), invalidate(),
+     * setDirty() and makeOmv() — the only mutators of a line's valid,
+     * dirty, isPm and omv bits — so a statistics sample is O(1).
      */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &line : store)
-            fn(line);
-    }
+    std::size_t dirtyPmLines() const { return dirtyPmCount; }
+    std::size_t omvLines() const { return omvCount; }
+
+    /** Read-only view of one line, in storage order (inspection). */
+    const CacheLine &lineAt(std::size_t index) const { return store[index]; }
 
     /** Iterate all lines mutably (bulk invalidation sweeps). */
     template <typename Fn>
@@ -97,11 +104,16 @@ class SetAssocCache
   private:
     std::size_t setIndex(Addr addr) const;
     CacheLine *setBase(Addr addr);
+    /** Add @p line's state to / remove it from the occupancy counts. */
+    void count(const CacheLine &line);
+    void uncount(const CacheLine &line);
 
     std::size_t numSets;
     unsigned numWays;
     std::vector<CacheLine> store;
     std::uint64_t stampCounter = 0;
+    std::size_t dirtyPmCount = 0; //!< valid, dirty, PM lines
+    std::size_t omvCount = 0;     //!< valid OMV lines
 };
 
 } // namespace nvck

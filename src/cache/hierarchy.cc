@@ -72,7 +72,7 @@ CacheHierarchy::dirtyWritebackToLlc(Addr addr, bool is_pm)
             // Section V-D rule: the hit line still equals memory, so
             // keep it as the block's OMV and take another way for the
             // incoming dirty data.
-            line->omv = true;
+            llc.makeOmv(*line);
             line->sam = false;
             statistics.omvPreserved.inc();
             CacheLine &fresh = llcVictimExcluding(addr, line);
@@ -80,7 +80,7 @@ CacheHierarchy::dirtyWritebackToLlc(Addr addr, bool is_pm)
             llc.fill(fresh, addr, is_pm, /*dirty=*/true);
             return;
         }
-        line->dirty = true;
+        llc.setDirty(*line, true);
         line->sam = false;
         llc.touch(*line);
         return;
@@ -100,7 +100,7 @@ CacheHierarchy::access(unsigned core, Addr addr, bool is_write,
 
     if (CacheLine *line = l1.lookup(addr)) {
         if (is_write)
-            line->dirty = true;
+            l1.setDirty(*line, true);
         statistics.l1Hits.inc();
         return HitLevel::L1;
     }
@@ -137,7 +137,7 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
     if (l1_line != nullptr && l1_line->dirty) {
         // clwb retains a clean copy in L1 and pushes the data through
         // the LLC to memory.
-        l1_line->dirty = false;
+        l1.setDirty(*l1_line, false);
         CacheLine *llc_line = llc.lookup(addr);
         bool omv_hit = false;
         if (is_pm && cfg.omvEnabled) {
@@ -152,7 +152,7 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
         if (llc_line != nullptr) {
             // The clean updates the LLC copy with the new data; after
             // the memory write it again equals memory.
-            llc_line->dirty = false;
+            llc.setDirty(*llc_line, false);
             llc_line->sam = true;
             llc.touch(*llc_line);
         }
@@ -167,7 +167,7 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
     CacheLine *llc_line = llc.lookup(addr);
     if (llc_line != nullptr && llc_line->dirty) {
         writeDirtyBlockToMemory(llc_line->blockAddr, llc_line->isPm);
-        llc_line->dirty = false;
+        llc.setDirty(*llc_line, false);
         llc_line->sam = true;
         llc.touch(*llc_line);
         statistics.cleanOps.inc();
@@ -181,16 +181,11 @@ CacheHierarchy::clean(unsigned core, Addr addr, bool is_pm)
 double
 CacheHierarchy::dirtyPmFraction() const
 {
-    std::size_t dirty_pm = 0;
+    std::size_t dirty_pm = llc.dirtyPmLines();
     std::size_t total = llc.lines();
-    const auto count = [&dirty_pm](const CacheLine &line) {
-        if (line.valid && line.dirty && line.isPm)
-            ++dirty_pm;
-    };
-    llc.forEach(count);
     for (const auto &l1 : l1s) {
+        dirty_pm += l1->dirtyPmLines();
         total += l1->lines();
-        l1->forEach(count);
     }
     return total ? static_cast<double>(dirty_pm) / total : 0.0;
 }
@@ -198,12 +193,7 @@ CacheHierarchy::dirtyPmFraction() const
 double
 CacheHierarchy::omvFraction() const
 {
-    std::size_t omv_lines = 0;
-    llc.forEach([&omv_lines](const CacheLine &line) {
-        if (line.valid && line.omv)
-            ++omv_lines;
-    });
-    return static_cast<double>(omv_lines) /
+    return static_cast<double>(llc.omvLines()) /
            static_cast<double>(llc.lines());
 }
 

@@ -100,10 +100,13 @@ class CacheHierarchy
      */
     bool clean(unsigned core, Addr addr, bool is_pm);
 
-    /** Fraction of all hierarchy lines holding dirty PM blocks (Fig 10). */
+    /**
+     * Fraction of all hierarchy lines holding dirty PM blocks (Fig 10).
+     * O(cores): reads the directories' occupancy counts.
+     */
     double dirtyPmFraction() const;
 
-    /** Fraction of LLC lines currently holding OMVs. */
+    /** Fraction of LLC lines currently holding OMVs. O(1). */
     double omvFraction() const;
 
     /** OMV service rate for PM writes so far (Fig 18). */
@@ -121,6 +124,14 @@ class CacheHierarchy
      * writebacks. Returns a tally of what was lost.
      */
     VolatileDiscard discardVolatile();
+
+    /** Read-only directories (inspection and tests). */
+    const SetAssocCache &llcDirectory() const { return llc; }
+    const SetAssocCache &
+    l1Directory(unsigned core) const
+    {
+        return *l1s[core];
+    }
 
     const CacheStats &stats() const { return statistics; }
     void resetStats() { statistics = CacheStats{}; }

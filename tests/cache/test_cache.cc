@@ -48,7 +48,7 @@ TEST(SetAssocCache, OmvLinesInvisibleToLookup)
     SetAssocCache c(8 * 1024, 4);
     CacheLine &v = c.victim(0x2000);
     c.fill(v, 0x2000, true, false);
-    v.omv = true;
+    c.makeOmv(v);
     EXPECT_EQ(c.lookup(0x2000), nullptr);
     ASSERT_NE(c.lookupOmv(0x2000), nullptr);
 }
@@ -58,7 +58,7 @@ TEST(SetAssocCache, OmvAndNormalLineCoexist)
     SetAssocCache c(8 * 1024, 4);
     CacheLine &omv = c.victim(0x2000);
     c.fill(omv, 0x2000, true, false);
-    omv.omv = true;
+    c.makeOmv(omv);
     CacheLine &fresh = c.victim(0x2000);
     ASSERT_NE(&fresh, &omv);
     c.fill(fresh, 0x2000, true, true);

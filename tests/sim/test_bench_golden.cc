@@ -61,6 +61,15 @@ struct GoldenCase
     SweepFn fn;
 };
 
+// Print the case by name: gtest's default dumps the struct's bytes,
+// pointers included, which ASLR changes on every run and which would
+// make the listed (and ctest-discovered) test names unstable.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 const GoldenCase kCases[] = {
     {"fig04_storage_vs_codeword", fig04Adapter},
     {"fig14_access_breakdown", fig14AccessBreakdown},
